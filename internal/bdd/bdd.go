@@ -7,9 +7,10 @@
 // low, high) triple is interned in a unique table so structural equality
 // is pointer (node-ID) equality, and binary operations are memoized in an
 // operation cache. Only the standard boolean algebra needed by the
-// checker is provided: And, Or, Xor, Not, Diff, plus satisfiability
-// counting and cube enumeration used by tests and the missing-rule
-// extractor.
+// checker is provided: And, Or, Xor, Not, Diff, plus Range, which
+// builds an integer-interval constraint over a block of variables
+// directly (no apply steps), and satisfiability counting and cube
+// enumeration used by tests and the missing-rule extractor.
 //
 // Storage is struct-of-arrays: nodes live in a flat []nodeData slice and
 // the unique table and operation cache are custom open-addressed tables
@@ -30,6 +31,7 @@ package bdd
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Node identifies a BDD node within its Manager. The terminals False and
@@ -439,6 +441,85 @@ func (m *Manager) apply(op opKind, a, b Node) Node {
 	m.cache.insert(key, r)
 	m.l1.store(key, r)
 	return r
+}
+
+// Range returns lo ≤ field ≤ hi ∧ then, where field is the unsigned
+// integer held by variables [off, off+width), most-significant bit at
+// off. then must test only variables below the block (index ≥
+// off+width), so the result is then with the field's constraint stacked
+// on top: callers encoding a conjunction of constraints over disjoint
+// ascending blocks build it bottom-up, one Range per block, each
+// continuing into the last. Range interns nodes with mk alone — at most
+// 2·width of them, all part of the result — and never touches the
+// operation cache. Equality is Range(v, v). Bounds above the field's
+// maximum are clamped; an empty range yields False.
+//
+// Range panics when the block falls outside [0, NumVars) or then tests
+// a variable in or above it, either of which would build a
+// non-canonical diagram.
+func (m *Manager) Range(off, width int, lo, hi uint32, then Node) Node {
+	checkRange(m.numVars, off, width, m.node(then).level)
+	return buildRange(m, off, width, lo, hi, then)
+}
+
+// nodeMaker is the one operation Range needs from an engine. Both
+// engines run the same walk, so their node IDs stay identical.
+type nodeMaker interface {
+	mk(level int32, lo, hi Node) Node
+}
+
+// checkRange enforces Range's block and ordering preconditions.
+func checkRange(numVars, off, width int, thenLevel int32) {
+	if off < 0 || width < 0 || off+width > numVars {
+		panic(fmt.Sprintf("bdd: range block [%d,%d) out of range [0,%d)", off, off+width, numVars))
+	}
+	if thenLevel < int32(off+width) {
+		panic(fmt.Sprintf("bdd: range continuation at level %d lies above the block end %d", thenLevel, off+width))
+	}
+}
+
+// buildRange walks the field's bits in (bit, tight-on-lo, tight-on-hi)
+// states. Above split — the first bit where lo and hi differ — both
+// bounds are tight and the field must copy their common prefix. Below
+// it each branch is tight on one bound only: ge is "suffix ≥ lo's
+// suffix ∧ then", le is "suffix ≤ hi's suffix ∧ then", and a branch that
+// leaves its bound strictly behind continues as then. The chains are
+// interned from the bottom bit up, since mk needs its children first.
+func buildRange(m nodeMaker, off, width int, lo, hi uint32, then Node) Node {
+	if top := uint32(uint64(1)<<uint(width) - 1); hi > top {
+		hi = top
+	}
+	if lo > hi {
+		return False
+	}
+	bit := func(v uint32, i int) bool { return v>>uint(width-1-i)&1 == 1 }
+	split := width - bits.Len32(lo^hi)
+	ge, le := then, then
+	for i := width - 1; i > split; i-- {
+		v := int32(off + i)
+		if bit(lo, i) {
+			ge = m.mk(v, False, ge)
+		} else {
+			ge = m.mk(v, ge, then)
+		}
+		if bit(hi, i) {
+			le = m.mk(v, then, le)
+		} else {
+			le = m.mk(v, le, False)
+		}
+	}
+	n := then
+	if split < width {
+		n = m.mk(int32(off+split), ge, le)
+	}
+	for i := split - 1; i >= 0; i-- {
+		if bit(lo, i) {
+			n = m.mk(int32(off+i), False, n)
+		} else {
+			n = m.mk(int32(off+i), n, False)
+		}
+	}
+	return n
 }
 
 // Cube returns the conjunction of literals: for each (variable, value)

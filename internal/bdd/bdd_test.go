@@ -311,6 +311,46 @@ func TestVarPanicsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRangePanics pins Range's preconditions on both engines: a block
+// outside [0, NumVars) and a continuation testing a variable in or
+// above the block both panic instead of building a non-canonical
+// diagram.
+func TestRangePanics(t *testing.T) {
+	type ranger interface {
+		Var(v int) Node
+		Range(off, width int, lo, hi uint32, then Node) Node
+	}
+	for name, m := range map[string]ranger{"manager": NewManager(8), "reference": NewRefManager(8)} {
+		inBlock, above := m.Var(5), m.Var(1)
+		below := m.Var(6)
+		cases := []struct {
+			what       string
+			off, width int
+			then       Node
+		}{
+			{"negative offset", -1, 3, True},
+			{"block past NumVars", 6, 3, True},
+			{"negative width", 2, -1, True},
+			{"then inside the block", 3, 3, inBlock},
+			{"then above the block", 3, 3, above},
+		}
+		for _, c := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Range with %s should panic", name, c.what)
+					}
+				}()
+				m.Range(c.off, c.width, 1, 2, c.then)
+			}()
+		}
+		// The boundary cases are legal: a block ending at NumVars, and a
+		// continuation starting right below the block.
+		m.Range(5, 3, 1, 2, True)
+		m.Range(3, 3, 1, 2, below)
+	}
+}
+
 func TestSizeGrowsAndIsShared(t *testing.T) {
 	m := NewManager(8)
 	before := m.Size()

@@ -181,6 +181,12 @@ func (m *RefManager) apply(op opKind, a, b Node) Node {
 	return r
 }
 
+// Range returns lo ≤ field ≤ hi ∧ then, identically to Manager.Range.
+func (m *RefManager) Range(off, width int, lo, hi uint32, then Node) Node {
+	checkRange(m.numVars, off, width, m.nodes[then].level)
+	return buildRange(m, off, width, lo, hi, then)
+}
+
 // Cube returns the conjunction of literals, identically to Manager.Cube.
 func (m *RefManager) Cube(literals map[int]bool) Node {
 	vars := make([]int, 0, len(literals))

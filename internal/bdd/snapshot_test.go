@@ -102,6 +102,7 @@ func TestFrozenManagerPanics(t *testing.T) {
 	mustPanic("Or", func() { m.Or(ab, m.Var(2)) })
 	mustPanic("And", func() { m.And(True, True) }) // even a cache-hit-free terminal case
 	mustPanic("Cube", func() { m.Cube(map[int]bool{2: true, 3: false}) })
+	mustPanic("Range", func() { m.Range(2, 2, 1, 2, True) })
 
 	if !m.Eval(ab, []bool{true, true, false, false}) {
 		t.Error("Eval must keep working after Freeze")

@@ -5,6 +5,10 @@
 // checker reports the set of missing rules — logical rules whose behaviour
 // should have been deployed in the TCAM but is absent — which become the
 // observations that annotate the risk models.
+//
+// A rule's match is encoded bottom-up, one bdd Range per constrained
+// header field, straight into its canonical ROBDD; only the priority
+// fold over a rule list runs boolean apply operations.
 package equiv
 
 import (
@@ -46,7 +50,7 @@ type Backend interface {
 	NumVars() int
 	Var(v int) bdd.Node
 	NVar(v int) bdd.Node
-	Cube(literals map[int]bool) bdd.Node
+	Range(off, width int, lo, hi uint32, then bdd.Node) bdd.Node
 	And(a, b bdd.Node) bdd.Node
 	Or(a, b bdd.Node) bdd.Node
 	Xor(a, b bdd.Node) bdd.Node
@@ -410,82 +414,44 @@ func (c *Checker) encodeMatch(m rule.Match) (bdd.Node, error) {
 }
 
 // buildMatchBDD builds the BDD of header tuples covered by match in m.
+// A match is a conjunction of per-field constraints over disjoint,
+// ascending variable blocks (VRF, src, dst, proto, port), so its ROBDD
+// is built bottom-up with one Range per constrained field, port first:
+// each field's constraint continues into the already-built fields below
+// it. No apply step runs, so the encoding leaves no intermediate nodes
+// and no op-cache entries behind. The fields are validated first, in
+// header order, so an invalid match reports the same error whatever
+// else is wrong with it.
 func buildMatchBDD(m Backend, match rule.Match) (bdd.Node, error) {
+	if !match.WildcardVRF && match.VRF > maxID {
+		return bdd.False, fmt.Errorf("vrf id %d exceeds %d-bit encoding", match.VRF, vrfBits)
+	}
+	if !match.WildcardSrc && match.SrcEPG > maxID {
+		return bdd.False, fmt.Errorf("src epg id %d exceeds %d-bit encoding", match.SrcEPG, epgBits)
+	}
+	if !match.WildcardDst && match.DstEPG > maxID {
+		return bdd.False, fmt.Errorf("dst epg id %d exceeds %d-bit encoding", match.DstEPG, epgBits)
+	}
+	if !match.AnyPort() && match.PortLo > match.PortHi {
+		return bdd.False, fmt.Errorf("inverted port range %d-%d", match.PortLo, match.PortHi)
+	}
 	n := bdd.True
-	if !match.WildcardVRF {
-		if match.VRF > maxID {
-			return bdd.False, fmt.Errorf("vrf id %d exceeds %d-bit encoding", match.VRF, vrfBits)
-		}
-		n = m.And(n, equalsBDD(m, vrfOff, vrfBits, uint32(match.VRF)))
-	}
-	if !match.WildcardSrc {
-		if match.SrcEPG > maxID {
-			return bdd.False, fmt.Errorf("src epg id %d exceeds %d-bit encoding", match.SrcEPG, epgBits)
-		}
-		n = m.And(n, equalsBDD(m, srcOff, epgBits, uint32(match.SrcEPG)))
-	}
-	if !match.WildcardDst {
-		if match.DstEPG > maxID {
-			return bdd.False, fmt.Errorf("dst epg id %d exceeds %d-bit encoding", match.DstEPG, epgBits)
-		}
-		n = m.And(n, equalsBDD(m, dstOff, epgBits, uint32(match.DstEPG)))
+	if !match.AnyPort() {
+		n = m.Range(portOff, portBits, uint32(match.PortLo), uint32(match.PortHi), n)
 	}
 	if match.Proto != rule.ProtoAny {
-		n = m.And(n, equalsBDD(m, protoOff, protoBits, uint32(match.Proto)))
+		n = m.Range(protoOff, protoBits, uint32(match.Proto), uint32(match.Proto), n)
 	}
-	if !(match.PortLo == 0 && match.PortHi == rule.PortMax) {
-		if match.PortLo > match.PortHi {
-			return bdd.False, fmt.Errorf("inverted port range %d-%d", match.PortLo, match.PortHi)
-		}
-		n = m.And(n, rangeBDD(m, portOff, portBits, uint32(match.PortLo), uint32(match.PortHi)))
+	if !match.WildcardDst {
+		n = m.Range(dstOff, epgBits, uint32(match.DstEPG), uint32(match.DstEPG), n)
+	}
+	if !match.WildcardSrc {
+		n = m.Range(srcOff, epgBits, uint32(match.SrcEPG), uint32(match.SrcEPG), n)
+	}
+	if !match.WildcardVRF {
+		n = m.Range(vrfOff, vrfBits, uint32(match.VRF), uint32(match.VRF), n)
 	}
 	return n, nil
-}
-
-// equalsBDD encodes field == value over width bits starting at variable
-// off (most-significant bit at the lowest variable index).
-func equalsBDD(m Backend, off, width int, value uint32) bdd.Node {
-	lits := make(map[int]bool, width)
-	for i := 0; i < width; i++ {
-		bit := (value >> uint(width-1-i)) & 1
-		lits[off+i] = bit == 1
-	}
-	return m.Cube(lits)
-}
-
-// rangeBDD encodes lo <= field <= hi over width bits starting at off.
-func rangeBDD(m Backend, off, width int, lo, hi uint32) bdd.Node {
-	return m.And(geBDD(m, off, width, 0, lo), leBDD(m, off, width, 0, hi))
-}
-
-// leBDD encodes field <= value considering bits [i, width).
-func leBDD(m Backend, off, width, i int, value uint32) bdd.Node {
-	if i == width {
-		return bdd.True
-	}
-	v := m.Var(off + i)
-	rest := leBDD(m, off, width, i+1, value)
-	if (value>>uint(width-1-i))&1 == 1 {
-		// bit set: x_i=0 → anything below; x_i=1 → compare remaining bits
-		return m.Or(m.Not(v), m.And(v, rest))
-	}
-	// bit clear: x_i=1 → greater, fail; x_i=0 → compare remaining bits
-	return m.And(m.Not(v), rest)
-}
-
-// geBDD encodes field >= value considering bits [i, width).
-func geBDD(m Backend, off, width, i int, value uint32) bdd.Node {
-	if i == width {
-		return bdd.True
-	}
-	v := m.Var(off + i)
-	rest := geBDD(m, off, width, i+1, value)
-	if (value>>uint(width-1-i))&1 == 1 {
-		// bit set: x_i=0 → smaller, fail; x_i=1 → compare remaining bits
-		return m.And(v, rest)
-	}
-	// bit clear: x_i=1 → anything above; x_i=0 → compare remaining bits
-	return m.Or(v, m.And(m.Not(v), rest))
 }
 
 // NaiveCheck is a key-set differ used as a test oracle and ablation

@@ -161,12 +161,19 @@ func (s *Store) enqueue(name string, job func() []byte) {
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.pending) > 0 || s.inflight != "" {
-		s.cond.Wait()
-	}
+	s.drainLocked()
 	err := s.err
 	s.err = nil
 	return err
+}
+
+// drainLocked waits, with s.mu held, until the write queue is empty and
+// no write is in flight. It leaves the pending persistence error for
+// Flush or Close to report.
+func (s *Store) drainLocked() {
+	for len(s.pending) > 0 || s.inflight != "" {
+		s.cond.Wait()
+	}
 }
 
 // Close drains the pending writes, stops the write-behind goroutine,
@@ -195,7 +202,7 @@ func (s *Store) SaveBase(depFP uint64, b *equiv.Base) {
 // LoadBase loads the frozen base persisted for the deployment
 // fingerprint: (nil, nil) when none exists, an error when the file
 // fails verification (the caller treats it as a cold start). Pending
-// writes are flushed first so a load observes the newest state. A
+// writes are drained first so a load observes the newest state. A
 // successful load touches the file for the LRU GC.
 func (s *Store) LoadBase(depFP uint64) (*equiv.Base, error) {
 	data, err := s.readFile(baseFileName(depFP))
@@ -235,12 +242,13 @@ func (s *Store) LoadVerdicts(depFP uint64, probe bool) ([]Verdict, error) {
 	return vs, nil
 }
 
-// readFile flushes pending writes and reads one store file, mapping
-// absence to (nil, nil).
+// readFile waits for pending writes and reads one store file, mapping
+// absence to (nil, nil). A failed write is not a failed read: its error
+// stays pending for the next Flush or Close.
 func (s *Store) readFile(name string) ([]byte, error) {
-	if err := s.Flush(); err != nil {
-		return nil, err
-	}
+	s.mu.Lock()
+	s.drainLocked()
+	s.mu.Unlock()
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if os.IsNotExist(err) {
 		return nil, nil

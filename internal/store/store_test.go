@@ -354,6 +354,31 @@ func TestStoreSaveLoad(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsWriteError: a failed write-behind persist is neither
+// reported as a load failure nor swallowed by the load — the load sees
+// the disk as it is, and Close still returns the write's error.
+func TestLoadKeepsWriteError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	base, _ := testBase(t, 5)
+	const depFP = 0xbad
+	// A directory occupying the target name makes the publishing
+	// rename fail.
+	if err := os.Mkdir(filepath.Join(dir, baseFileName(depFP)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.SaveBase(depFP, base)
+	if b, err := s.LoadVerdicts(depFP, false); b != nil || err != nil {
+		t.Fatalf("LoadVerdicts after a failed base write: %v, %v; want (nil, nil)", b, err)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close must return the failed write's error after a load")
+	}
+}
+
 // TestStoreGC pins the hygiene satellite: the age bound removes stale
 // files, the count bound evicts least-recently-used beyond the cap, and
 // foreign files in the directory are never touched.
