@@ -214,8 +214,8 @@ func run() error {
 			return err
 		}
 		st := sess.Stats()
-		fmt.Printf("warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
-			st.BaseLoads, st.BaseRebuilds, st.Replayed, st.Checked)
+		fmt.Printf("warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d, unreadable store files %d\n",
+			st.BaseLoads, st.BaseRebuilds, st.Replayed, st.Checked, st.StoreLoadErrors)
 		if ps, ok := sess.ProberStats(); ok {
 			pstats = &ps
 		}

@@ -9,8 +9,9 @@
 // operation cache. Only the standard boolean algebra needed by the
 // checker is provided: And, Or, Xor, Not, Diff, plus Range, which
 // builds an integer-interval constraint over a block of variables
-// directly (no apply steps), and satisfiability counting and cube
-// enumeration used by tests and the missing-rule extractor.
+// directly (no apply steps), Intersects, which decides whether a
+// conjunction is empty without building it, and satisfiability counting
+// and cube enumeration used by tests and the missing-rule extractor.
 //
 // Storage is struct-of-arrays: nodes live in a flat []nodeData slice and
 // the unique table and operation cache are custom open-addressed tables
@@ -25,7 +26,10 @@
 // delta, so any number of forks share the snapshot's nodes lock-free
 // while building their own. This is how the equivalence checker shares
 // one warm encoding base across check-stage workers. Long-lived forks
-// can shed dead delta nodes in place with CompactDelta (compact.go).
+// can shed dead delta nodes in place with CompactDelta (compact.go), and
+// finished forks can hand their delta to a thawed copy of the snapshot
+// (TakeDelta, Thaw, Absorb in absorb.go), which is how the checker's
+// base folds its rule lists in parallel.
 package bdd
 
 import (
@@ -350,6 +354,81 @@ func (m *Manager) OrAll(nodes []Node) Node {
 // Implies reports whether a → b is a tautology (a's onset ⊆ b's onset).
 func (m *Manager) Implies(a, b Node) bool { return m.Diff(a, b) == False }
 
+// Intersects reports whether a ∧ b is satisfiable, exactly
+// And(a, b) != False, without building the conjunction: it walks
+// cofactor pairs and never interns a node, so Size is unchanged. Where
+// one cofactor pair is trivially disjoint (a False child) the walk
+// loops on the other pair without touching the cache. Only at pairs
+// where both sides stay open does it consult the op-cache tiers for an
+// existing And result, and it memoizes a pair it finds disjoint as
+// And → False. That entry is exact, since the conjunction of a disjoint
+// pair is False, so later And calls build the same nodes as before.
+func (m *Manager) Intersects(a, b Node) bool {
+	if m.frozen {
+		panic("bdd: boolean operations on a frozen manager")
+	}
+	for {
+		switch {
+		case a == False || b == False:
+			return false
+		case a == True || b == True || a == b:
+			return true
+		}
+		_, aLo, aHi, bLo, bHi := cofactors(m.node(a), m.node(b), a, b)
+		loOpen := aLo != False && bLo != False
+		hiOpen := aHi != False && bHi != False
+		switch {
+		case !loOpen && !hiOpen:
+			return false
+		case !loOpen:
+			a, b = aHi, bHi
+			continue
+		case !hiOpen:
+			a, b = aLo, bLo
+			continue
+		}
+		if b < a {
+			a, b = b, a
+		}
+		key := packOpKey(opAnd, a, b)
+		if r, ok := m.l1.lookup(key); ok {
+			m.stats.L1Hits++
+			return r != False
+		}
+		if m.base != nil {
+			if r, ok := m.base.cache.lookup(key); ok {
+				m.stats.BaseHits++
+				return r != False
+			}
+		}
+		if r, ok := m.cache.lookup(key); ok {
+			m.stats.L2Hits++
+			return r != False
+		}
+		m.stats.Misses++
+		if m.Intersects(aLo, bLo) || m.Intersects(aHi, bHi) {
+			return true
+		}
+		m.cache.insert(key, False)
+		m.l1.store(key, False)
+		return false
+	}
+}
+
+// cofactors splits the operand pair (a, b) on its top variable: the
+// level of the topmost node, and each operand's low and high cofactor
+// there (an operand rooted deeper is its own cofactor on both sides).
+func cofactors(da, db nodeData, a, b Node) (level int32, aLo, aHi, bLo, bHi Node) {
+	switch {
+	case da.level == db.level:
+		return da.level, da.lo, da.hi, db.lo, db.hi
+	case da.level < db.level:
+		return da.level, da.lo, da.hi, b, b
+	default:
+		return db.level, a, a, db.lo, db.hi
+	}
+}
+
 // Equiv reports whether a and b denote the same boolean function. Because
 // ROBDDs are canonical this is node-ID equality.
 func (m *Manager) Equiv(a, b Node) bool { return a == b }
@@ -426,17 +505,7 @@ func (m *Manager) apply(op opKind, a, b Node) Node {
 	}
 	m.stats.Misses++
 
-	da, db := m.node(a), m.node(b)
-	var level int32
-	var aLo, aHi, bLo, bHi Node
-	switch {
-	case da.level == db.level:
-		level, aLo, aHi, bLo, bHi = da.level, da.lo, da.hi, db.lo, db.hi
-	case da.level < db.level:
-		level, aLo, aHi, bLo, bHi = da.level, da.lo, da.hi, b, b
-	default:
-		level, aLo, aHi, bLo, bHi = db.level, a, a, db.lo, db.hi
-	}
+	level, aLo, aHi, bLo, bHi := cofactors(m.node(a), m.node(b), a, b)
 	r := m.mk(level, m.apply(op, aLo, bLo), m.apply(op, aHi, bHi))
 	m.cache.insert(key, r)
 	m.l1.store(key, r)

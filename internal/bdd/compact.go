@@ -10,11 +10,12 @@ package bdd
 // NoNode is the remap result for a node that did not survive compaction.
 const NoNode Node = -1
 
-// Remap is the old→new node-ID mapping produced by CompactDelta. IDs at
-// or above the pinned prefix map through the dense rebuild; pinned IDs
-// (the frozen base, or the terminals of a standalone manager) map to
-// themselves. The mapping is monotone: live nodes keep their relative
-// order, they only slide down over freed slots.
+// Remap is the old→new node-ID mapping produced by CompactDelta or
+// Absorb. IDs at or above the pinned prefix map through the dense
+// rebuild (or the absorbing manager's interning); pinned IDs (the
+// frozen base, or the terminals of a standalone manager) map to
+// themselves. A compaction remap is monotone: live nodes keep their
+// relative order, they only slide down over freed slots.
 type Remap struct {
 	pin   int
 	delta []Node

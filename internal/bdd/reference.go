@@ -123,6 +123,33 @@ func (m *RefManager) Implies(a, b Node) bool { return m.Diff(a, b) == False }
 // Equiv reports whether a and b denote the same function.
 func (m *RefManager) Equiv(a, b Node) bool { return a == b }
 
+// Intersects reports whether a ∧ b is satisfiable without building the
+// conjunction, like Manager.Intersects, as a plain cofactor recursion:
+// it reuses an existing And result and memoizes every disjoint pair as
+// And → False. It never interns a node, so both engines keep equal
+// node counts.
+func (m *RefManager) Intersects(a, b Node) bool {
+	switch {
+	case a == False || b == False:
+		return false
+	case a == True || b == True || a == b:
+		return true
+	}
+	if b < a {
+		a, b = b, a
+	}
+	key := refOpKey{op: opAnd, a: a, b: b}
+	if r, ok := m.cache[key]; ok {
+		return r != False
+	}
+	_, aLo, aHi, bLo, bHi := cofactors(m.nodes[a], m.nodes[b], a, b)
+	if m.Intersects(aLo, bLo) || m.Intersects(aHi, bHi) {
+		return true
+	}
+	m.cache[key] = False
+	return false
+}
+
 func (m *RefManager) apply(op opKind, a, b Node) Node {
 	switch op {
 	case opAnd:

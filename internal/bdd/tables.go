@@ -96,8 +96,22 @@ func (t *nodeTable) insert(nodes []nodeData, off int, id Node) {
 }
 
 func (t *nodeTable) grow(nodes []nodeData, off int) {
+	t.rehash(nodes, off, len(t.slots)*2)
+}
+
+// reserve grows the table, at most once, so that it holds the given
+// number of entries under the load-factor trigger: a caller about to
+// insert a known number of nodes rehashes once instead of at every
+// doubling on the way.
+func (t *nodeTable) reserve(nodes []nodeData, off int, entries int) {
+	if slots := pow2Slots(entries); slots > len(t.slots) {
+		t.rehash(nodes, off, slots)
+	}
+}
+
+func (t *nodeTable) rehash(nodes []nodeData, off int, slots int) {
 	old := t.slots
-	t.slots = make([]Node, len(old)*2)
+	t.slots = make([]Node, slots)
 	mask := uint64(len(t.slots) - 1)
 	for _, id := range old {
 		if id == 0 {

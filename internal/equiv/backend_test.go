@@ -78,6 +78,57 @@ func TestCheckerBackendDifferential(t *testing.T) {
 	}
 }
 
+// TestCheckAttributesByIntersection pins the attribution tests on both
+// engines: rules whose matches only partly overlap the missing (or
+// extra) behaviour are flagged, a rule disjoint from it is not, and
+// attribution builds no node beyond the folds and the two differences,
+// although the conjunctions it decides are new functions.
+func TestCheckAttributesByIntersection(t *testing.T) {
+	ports := func(src object.ID, lo, hi uint16) rule.Rule {
+		return rule.Rule{
+			Match:  rule.Match{VRF: 1, SrcEPG: src, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: lo, PortHi: hi},
+			Action: rule.Allow, Priority: 10,
+		}
+	}
+	anySrc := ports(0, 105, 107)
+	anySrc.Match.WildcardSrc = true
+	logical := withDeny(ports(2, 100, 110), anySrc, allowRule(1, 2, 3, 443))
+	deployed := withDeny(ports(2, 100, 105), allowRule(1, 2, 3, 443), ports(2, 200, 200))
+	engines := map[string]func() Backend{
+		"manager":   func() Backend { return bdd.NewManager(NumVars) },
+		"reference": func() Backend { return bdd.NewRefManager(NumVars) },
+	}
+	for name, newM := range engines {
+		c := NewCheckerBacked(newM)
+		rep, err := c.Check(logical, deployed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.MissingRules) != 2 || rep.MissingRules[0].Match != logical[0].Match || rep.MissingRules[1].Match != logical[1].Match {
+			t.Errorf("%s: missing %+v, want the two partly covered rules", name, rep.MissingRules)
+		}
+		if len(rep.ExtraRules) != 1 || rep.ExtraRules[0].Match != deployed[2].Match {
+			t.Errorf("%s: extra %+v, want only the port-200 rule", name, rep.ExtraRules)
+		}
+
+		// The same folds and differences, built without attribution.
+		m := newM()
+		encode := func(match rule.Match) (bdd.Node, error) { return buildMatchBDD(m, match) }
+		l, _ := foldSemantics(m, encode, logical)
+		d, _ := foldSemantics(m, encode, deployed)
+		missing := m.Diff(l, d)
+		m.Diff(d, l)
+		if c.Size() != m.Size() {
+			t.Errorf("%s: checker holds %d nodes, folds and differences alone %d", name, c.Size(), m.Size())
+		}
+		size := m.Size()
+		enc, _ := encode(logical[0].Match)
+		if m.And(enc, missing); m.Size() == size {
+			t.Fatalf("%s: the flagged rule's conjunction with the missing set must be a new function", name)
+		}
+	}
+}
+
 // TestCheckerCompactPreservesReports pins the checker-level compaction
 // contract: after Compact, re-checking already-seen switches still hits
 // the (remapped) memos and yields identical reports.

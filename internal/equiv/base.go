@@ -1,14 +1,16 @@
 // Shared encoding base for the check-stage fan-out: the distinct
 // rule.Matches of a deployment are encoded exactly once into one BDD
-// manager — followed by the whole-switch semantics folds of the most
-// duplicated rule-list fingerprints — which is then frozen into an
-// immutable snapshot that every worker's checker forks. Without it, each
-// check-stage worker owns a private manager and re-derives every match
-// encoding and every fold shared across its switches — duplicated node
-// construction that grows with the worker count and eats the parallel
-// speedup (the ROADMAP measured ~2.5x duplicated match work at 4 workers
-// on the production spec, and ~6%/worker-doubling residual fold growth
-// before semantics warming).
+// manager, the whole-switch semantics folds of the most duplicated
+// rule-list fingerprints are added — folded in parallel, one fork of
+// the match encodings per list, and absorbed in rank order (see
+// NewBaseWith) — and the result is frozen into an immutable snapshot
+// that every worker's checker forks. Without it, each check-stage
+// worker owns a private manager and re-derives every match encoding and
+// every fold shared across its switches — duplicated node construction
+// that grows with the worker count and eats the parallel speedup (the
+// ROADMAP measured ~2.5x duplicated match work at 4 workers on the
+// production spec, and ~6%/worker-doubling residual fold growth before
+// semantics warming).
 
 package equiv
 
@@ -47,7 +49,8 @@ type Base struct {
 // matches in a canonical order (SortMatches) and the semantics lists in
 // a canonical order too (the warmup ranks them by duplication count with
 // a fingerprint tiebreak); within one process any order yields an
-// equivalent base.
+// equivalent base. The folds fan out over GOMAXPROCS goroutines, and
+// the frozen base does not depend on the fan-out.
 func NewBase(matches []rule.Match, semantics ...[]rule.Rule) *Base {
 	b, _ := NewBaseWith(nil, matches, semantics...)
 	return b

@@ -58,6 +58,7 @@ type Backend interface {
 	Diff(a, b bdd.Node) bdd.Node
 	OrAll(nodes []bdd.Node) bdd.Node
 	Implies(a, b bdd.Node) bool
+	Intersects(a, b bdd.Node) bool
 	Equiv(a, b bdd.Node) bool
 	SatCount(n bdd.Node) float64
 	AllSat(n bdd.Node, fn func(cube []bdd.Lit) bool)
@@ -270,6 +271,13 @@ type Report struct {
 // Check compares logical rules against deployed rules. Both slices are
 // interpreted in match order (priority descending); callers should pass
 // them as produced by the compiler and the TCAM snapshot respectively.
+//
+// When the two sides differ, Check attributes the difference to rules:
+// a logical allow rule is missing when its match intersects the
+// should-allow-but-doesn't set, a deployed allow rule is extra when its
+// match intersects the allows-but-shouldn't set. Each test is an
+// Intersects walk, which decides emptiness without building the
+// conjunction, so attribution adds no nodes to the checker's delta.
 func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 	lAllowed, err := c.semantics(logical)
 	if err != nil {
@@ -297,7 +305,7 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if c.m.And(enc, missing) != bdd.False {
+			if c.m.Intersects(enc, missing) {
 				rep.MissingRules = append(rep.MissingRules, r.Clone())
 			}
 		}
@@ -311,7 +319,7 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if c.m.And(enc, extra) != bdd.False {
+			if c.m.Intersects(enc, extra) {
 				rep.ExtraRules = append(rep.ExtraRules, r.Clone())
 			}
 		}

@@ -12,7 +12,10 @@ package equiv
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"scout/internal/bdd"
 	"scout/internal/rule"
@@ -45,49 +48,159 @@ type BaseBuildStats struct {
 // manager's unique table, a pure structural copy that skips the whole
 // priority fold), and only source misses fold locally. A nil src makes
 // it exactly NewBase.
+//
+// The build runs in three steps. The matches are encoded into one
+// manager and frozen into a match snapshot. Each list to fold then
+// folds in its own fork of that snapshot, on a pool of
+// min(GOMAXPROCS, lists) goroutines. Last, a thawed copy of the match
+// snapshot takes each list in rank order: a graft imports the donor
+// root, a fold absorbs its fork's delta. A fork's delta is exactly its
+// list's fold, so every node gets the ID a serial build in rank order
+// gives it, and the frozen base is the same however many goroutines
+// folded or in which order they finished. The forks' op-cache entries
+// are dropped with the forks, so the base's op cache holds no fold
+// results. A list that fails to encode leaves no node behind.
 func NewBaseWith(src SemanticsSource, matches []rule.Match, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
-	var stats BaseBuildStats
-	m := bdd.NewManager(NumVars)
-	mem := make(map[rule.Match]bdd.Node, len(matches))
+	return newBaseWith(src, runtime.GOMAXPROCS(0), matches, semantics)
+}
+
+// baseList is one distinct rule list of a base build, in rank order:
+// grafted from a donor snapshot's root, or folded in a fork.
+type baseList struct {
+	fp    uint64
+	rules []rule.Rule
+	donor *bdd.Snapshot // nil when folded
+	root  bdd.Node
+	fold  *listFold
+}
+
+// listFold is one list's fold in its own fork of the match snapshot,
+// detached from the fork once done closes.
+type listFold struct {
+	rules []rule.Rule
+	done  chan struct{}
+	delta *bdd.Delta
+	root  bdd.Node
+	// extra holds the matches the list uses that the match snapshot
+	// lacks, encoded in the fork.
+	extra map[rule.Match]bdd.Node
+	err   error
+}
+
+// foldNodesPerRule pre-sizes a list's fork: a whole-list fold interns
+// about 46 delta nodes per rule on generated fabrics. An underestimate
+// only costs the fork its growth ramp.
+const foldNodesPerRule = 48
+
+// run folds the list in a fresh fork of snap, resolving matches through
+// mem first.
+func (f *listFold) run(snap *bdd.Snapshot, mem map[rule.Match]bdd.Node) {
+	fork := bdd.NewManagerFromSized(snap, foldNodesPerRule*len(f.rules))
+	f.extra = make(map[rule.Match]bdd.Node)
 	encode := func(match rule.Match) (bdd.Node, error) {
 		if n, ok := mem[match]; ok {
 			return n, nil
 		}
-		n, err := buildMatchBDD(m, match)
+		if n, ok := f.extra[match]; ok {
+			return n, nil
+		}
+		n, err := buildMatchBDD(fork, match)
 		if err != nil {
 			return bdd.False, err
 		}
-		mem[match] = n
+		f.extra[match] = n
 		return n, nil
 	}
+	f.root, f.err = foldSemantics(fork, encode, f.rules)
+	f.delta = fork.TakeDelta()
+	close(f.done)
+}
+
+// newBaseWith is NewBaseWith with an explicit fold fan-out.
+func newBaseWith(src SemanticsSource, fanout int, matches []rule.Match, semantics [][]rule.Rule) (*Base, BaseBuildStats) {
+	var stats BaseBuildStats
+	m := bdd.NewManager(NumVars)
+	mem := make(map[rule.Match]bdd.Node, len(matches))
 	for _, match := range matches {
+		if _, ok := mem[match]; ok {
+			continue
+		}
 		// Unencodable matches are skipped: the base is a cache.
-		_, _ = encode(match)
+		if n, err := buildMatchBDD(m, match); err == nil {
+			mem[match] = n
+		}
 	}
-	semMem := make(map[uint64]semRoot, len(semantics))
+	snap := m.Freeze()
+
+	lists := make([]baseList, 0, len(semantics))
+	seen := make(map[uint64]struct{}, len(semantics))
+	var folds []*listFold
 	for _, rules := range semantics {
 		fp := SemanticsFingerprint(rules)
-		if _, ok := semMem[fp]; ok {
+		if _, ok := seen[fp]; ok {
 			// Duplicate list, or — vanishingly rarely — a colliding one;
 			// either way the first owner keeps the slot and a colliding
 			// list simply folds in the forks (hits verify the list).
 			continue
 		}
+		seen[fp] = struct{}{}
+		l := baseList{fp: fp, rules: rules}
 		if src != nil {
-			if donor, droot, ok := src.ResolveSemantics(fp, rules); ok {
-				semMem[fp] = semRoot{rules: rules, node: m.Import(donor, droot)}
-				stats.SemGrafts++
-				continue
-			}
+			l.donor, l.root, _ = src.ResolveSemantics(fp, rules)
 		}
-		root, err := foldSemantics(m, encode, rules)
-		if err != nil {
+		if l.donor == nil {
+			l.fold = &listFold{rules: rules, done: make(chan struct{})}
+			folds = append(folds, l.fold)
+		}
+		lists = append(lists, l)
+	}
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < min(max(fanout, 1), len(folds)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(folds); i = int(next.Add(1)) - 1 {
+				folds[i].run(snap, mem)
+			}
+		}()
+	}
+
+	// Absorb in rank order as the completed prefix grows, releasing each
+	// fold's delta once absorbed. Matches the folds encoded privately
+	// join the match memo only after the workers, which read it, exit.
+	estimate := 0
+	for _, f := range folds {
+		estimate += foldNodesPerRule * len(f.rules)
+	}
+	final := snap.Thaw(estimate)
+	extra := make(map[rule.Match]bdd.Node)
+	semMem := make(map[uint64]semRoot, len(lists))
+	for _, l := range lists {
+		if l.fold == nil {
+			semMem[l.fp] = semRoot{rules: l.rules, node: final.Import(l.donor, l.root)}
+			stats.SemGrafts++
 			continue
 		}
-		semMem[fp] = semRoot{rules: rules, node: root}
-		stats.SemFolds++
+		f := l.fold
+		<-f.done
+		if f.err == nil {
+			remap := final.Absorb(f.delta)
+			for match, n := range f.extra {
+				if _, ok := extra[match]; !ok {
+					extra[match] = remap.Node(n)
+				}
+			}
+			semMem[l.fp] = semRoot{rules: l.rules, node: remap.Node(f.root)}
+			stats.SemFolds++
+		}
+		f.delta, f.extra = nil, nil
 	}
-	return &Base{snap: m.Freeze(), matchMem: mem, semMem: semMem}, stats
+	wg.Wait()
+	for match, n := range extra {
+		mem[match] = n
+	}
+	return &Base{snap: final.Freeze(), matchMem: mem, semMem: semMem}, stats
 }
 
 // Snapshot returns the base's frozen BDD snapshot (safe for concurrent

@@ -89,7 +89,11 @@ type AnalyzerOptions struct {
 	// Workers goroutines, each owning its own equiv.Checker; results are
 	// folded back serially in ascending switch-ID order, so reports are
 	// byte-for-byte identical for any worker count. 0 (the default)
-	// selects runtime.NumCPU(); 1 restores the fully serial pipeline.
+	// selects runtime.NumCPU(); 1 restores the serial check stage.
+	//
+	// The shared base's semantics folds do not use this pool: they fan
+	// out over GOMAXPROCS goroutines (equiv.NewBaseWith), and the base
+	// they freeze is node for node the same at any fan-out.
 	Workers int
 
 	// PrivateCheckers disables the shared frozen BDD base: every check
@@ -471,14 +475,15 @@ const baseSemanticsTopK = 1024
 // copy-on-write delta. Keying the base off the deployment alone is what
 // lets a Session reuse it across runs whose TCAM state drifts.
 //
-// The semantics folds build serially inside NewBase (one manager, not
-// shareable mid-build), where the pre-warming design folded each list
-// inside the parallel per-switch checks — a deliberate trade: the
-// one-time serial warmup buys every consistent switch's check down to
-// two hashes, and sessions amortize it across all runs of a deployment.
-// A cold one-shot analysis on a many-core box pays a slice of its fold
-// work serially; the foldshare experiment pins the payoff on node
-// counters, which is what survives any core count.
+// The semantics folds run in parallel inside equiv.NewBaseWith: each
+// list folds in its own fork of the frozen match encodings on up to
+// GOMAXPROCS goroutines, and the forks' deltas are absorbed into the
+// base in rank order, so the frozen node IDs do not depend on the
+// fan-out. Only match encoding and the absorb sweep stay serial. The
+// warmup buys every consistent switch's check down to two hashes, and
+// sessions amortize it across all runs of a deployment; the foldshare
+// experiment pins the payoff on node counters, which is what survives
+// any core count.
 func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildStats) {
 	if a.opts.UseNaiveChecker || a.opts.UseProbes || a.opts.PrivateCheckers {
 		return nil, equiv.BaseBuildStats{}

@@ -162,6 +162,11 @@ type SessionStats struct {
 	// of built: a warm restart of a clean fabric shows BaseLoads 1,
 	// BaseRebuilds 0, and zero encode or fold misses.
 	BaseLoads int
+	// StoreLoadErrors counts warm-store files, bases or verdicts, that
+	// failed to read or verify. Each one falls back to a cold build or
+	// re-check, so the report is unaffected; the count says the store
+	// is unhealthy.
+	StoreLoadErrors int
 	// BaseSemGrafts and BaseSemFolds split each base build's whole-switch
 	// semantics work: roots grafted from the shared BaseRegistry (another
 	// deployment's base already froze a canonically equal list) versus
@@ -779,10 +784,15 @@ func (s *Session) ensureBaseLocked(d *compile.Deployment) map[object.ID]uint64 {
 		// the store before building one — the loaded base carries every
 		// match encoding and semantics root the previous process froze,
 		// so a clean fabric replays with zero encodes. A missing or
-		// unverifiable file is just a cold start. Rebinding re-points the
+		// unverifiable file is just a cold start; an unverifiable one
+		// counts in StoreLoadErrors. Rebinding re-points the
 		// collision-verification rule references at this deployment's
 		// slices, releasing the decoded copies.
-		if b, err := ws.LoadBase(fp); err == nil && b != nil {
+		b, err := ws.LoadBase(fp)
+		if err != nil {
+			s.stats.StoreLoadErrors++
+		}
+		if b != nil {
 			b.RebindSemantics(d.BySwitch)
 			s.base = b
 			s.baseFP = fp
@@ -831,6 +841,7 @@ func (s *Session) seedVerdictsLocked(depFP uint64, probe bool) {
 	s.loadedVerdicts[key] = struct{}{}
 	vs, err := ws.LoadVerdicts(depFP, probe)
 	if err != nil {
+		s.stats.StoreLoadErrors++
 		return // unverifiable file: cold start for these switches
 	}
 	cache := s.cache

@@ -2,6 +2,8 @@ package scout_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -211,5 +213,75 @@ func TestCrossDeploymentBaseSharing(t *testing.T) {
 	// observable.
 	if !bytes.Equal(marshalReport(t, rep1), marshalReport(t, rep2)) {
 		t.Error("sharing session's report differs from donor's")
+	}
+}
+
+// TestSessionCountsUnreadableStoreFiles: a corrupted base file or a
+// corrupted verdict file is a cold start for what it held, never a
+// wrong report, and each one shows in StoreLoadErrors.
+func TestSessionCountsUnreadableStoreFiles(t *testing.T) {
+	f := faultyFabric(t, 11)
+	cold, err := scout.NewAnalyzer().Analyze(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalReport(t, cold)
+	for _, pattern := range []string{"base-*.scout", "checks-*.scout"} {
+		dir := t.TempDir()
+		ws, err := scout.OpenWarmStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := scout.NewSession(f, scout.AnalyzerOptions{WarmStore: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		paths, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("%s: found %v (%v), want one file", pattern, paths, err)
+		}
+		raw, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0x40
+		if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		ws, err = scout.OpenWarmStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err = scout.NewSession(f, scout.AnalyzerOptions{WarmStore: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sess.Stats(); st.StoreLoadErrors != 1 {
+			t.Errorf("%s corrupted: StoreLoadErrors = %d, want 1 (%+v)", pattern, st.StoreLoadErrors, st)
+		}
+		if !bytes.Equal(marshalReport(t, rep), want) {
+			t.Errorf("%s corrupted: report differs from a cold analyzer's", pattern)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
